@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
+.PHONY: all build test race vet fmt-check perfbench-check ci ci-fast ci-slow cover fuzz-smoke doctor-smoke objstore bench bench-smoke bench-check bench-record clean
 
 all: build test
 
@@ -26,11 +26,17 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own Go module, so `go build ./...` and `go vet ./...`
+# above skip it; vet and build it here so an internal API change cannot
+# break the repository benchmark unseen.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) build -o /dev/null .
+
 # CI is split into two lanes so the workflow can run them as parallel
 # jobs: ci-fast is the quick correctness gate (a couple of minutes),
 # ci-slow carries the race detector, smokes, perf floors and coverage.
 # `ci` stays the union for local one-shot verification.
-ci-fast: fmt-check vet build test objstore
+ci-fast: fmt-check vet perfbench-check build test objstore
 
 ci-slow: race fuzz-smoke doctor-smoke bench-check cover
 

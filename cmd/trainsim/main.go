@@ -219,6 +219,10 @@ func run(root, runRoot, modelName string, sim bool, taskName string,
 		fmt.Printf("  bytes hashed %d, spooled %d, referenced %d; stall %.2fms; spool peak %d\n",
 			cs.BytesHashed, cs.BytesSpooled, cs.BytesReferenced,
 			float64(cs.StallNs)/1e6, cs.SpoolPeakBytes)
+		if cs.ParentHits+cs.ParentMisses > 0 {
+			fmt.Printf("  xor parents: %d from the saver's cache, %d read back from the store\n",
+				cs.ParentHits, cs.ParentMisses)
+		}
 	}
 	return nil
 }

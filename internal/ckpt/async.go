@@ -192,6 +192,9 @@ func (s *AsyncSaver) Wait() error {
 		s.errs = append(s.errs, err)
 		s.mu.Unlock()
 	}
+	if s.eng != nil {
+		s.eng.dropParents()
+	}
 	return s.combinedErr()
 }
 

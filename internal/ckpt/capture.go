@@ -50,7 +50,8 @@ type CaptureOptions struct {
 	Workers int
 	// SpoolBytes bounds the pooled spool memory held by in-flight captures.
 	// Payloads that do not fit fall back to unmetered temp files rather
-	// than blocking a worker. Defaults to 256 MiB.
+	// than blocking a worker. It also bounds the parent cache of an xor
+	// codec save (see CaptureStats.ParentBytesHeld). Defaults to 256 MiB.
 	SpoolBytes int64
 }
 
@@ -92,6 +93,14 @@ type CaptureStats struct {
 	StallNs int64
 	// SpoolPeakBytes is the pooled-spool memory high-water mark.
 	SpoolPeakBytes int64
+	// ParentHits / ParentMisses count xor deltas the write stage encoded
+	// against a payload it published earlier (still in the parent cache)
+	// versus a parent read back and decoded from the store.
+	ParentHits   int64
+	ParentMisses int64
+	// ParentBytesHeld is the payload bytes the parent cache holds now: at
+	// most SpoolBytes, and 0 once Wait has drained the saver.
+	ParentBytesHeld int64
 	// Pool reports buffer reuse.
 	Pool storage.BufferPoolStats
 }
@@ -192,12 +201,17 @@ type layerCacheEntry struct {
 }
 
 // captureEngine owns the capture pipeline, the spool pool and budget gate,
-// the per-layer generation cache, and the outstanding-ticket set.
+// the per-layer generation cache, the parent cache of the write stage, and
+// the outstanding-ticket set.
 type captureEngine struct {
 	base storage.Backend
 	pool *storage.BufferPool
 	gate *parallel.ByteGate
 	pipe *parallel.Pipeline[*captureUnit, struct{}]
+	// parents holds the payloads the write stage published, verified by
+	// PutStreamOpts, so the next xor save deltas against them without
+	// decoding the parent chain. Restore never sees it.
+	parents *storage.ParentCache
 
 	mu      sync.Mutex
 	cache   map[string]*layerCacheEntry
@@ -208,10 +222,11 @@ type captureEngine struct {
 func newCaptureEngine(b storage.Backend, opts CaptureOptions) *captureEngine {
 	opts = opts.withDefaults()
 	e := &captureEngine{
-		base:  b,
-		pool:  storage.NewBufferPool(),
-		gate:  parallel.NewByteGate(opts.SpoolBytes),
-		cache: map[string]*layerCacheEntry{},
+		base:    b,
+		pool:    storage.NewBufferPool(),
+		gate:    parallel.NewByteGate(opts.SpoolBytes),
+		parents: storage.NewParentCache(opts.SpoolBytes),
+		cache:   map[string]*layerCacheEntry{},
 	}
 	// Units fan in unordered (each lands in its ticket slot), so the
 	// pipeline's ordered sink is a no-op; errors travel through tickets.
@@ -236,6 +251,8 @@ func (e *captureEngine) snapshot() CaptureStats {
 	e.mu.Unlock()
 	s.SpoolPeakBytes = e.gate.Peak()
 	s.Pool = e.pool.Stats()
+	ps := e.parents.Stats()
+	s.ParentHits, s.ParentMisses, s.ParentBytesHeld = ps.Hits, ps.Misses, ps.HeldBytes
 	return s
 }
 
@@ -608,6 +625,9 @@ func (e *captureEngine) waitCaptured() error {
 // schedules fail their tickets.
 func (e *captureEngine) close() error { return e.pipe.Close() }
 
+// dropParents empties the parent cache once the write stage has drained.
+func (e *captureEngine) dropParents() { e.parents.Reset() }
+
 // write assembles and commits one captured save — the ordered (depth-1)
 // stage of the saver. The protocol is the synchronous path's, step for
 // step: journal the full digest set, publish moved payloads, stage
@@ -627,10 +647,11 @@ func (e *captureEngine) write(t *captureTicket) error {
 
 func (e *captureEngine) writeDedup(t *captureTicket) error {
 	plan := t.plan
-	// Codec plan for this save. The gate is deliberately nil: spooled
-	// payloads already hold their bytes in the engine's gate, and letting
-	// the encoder block on the same gate could deadlock the write stage.
-	cplan, err := newCodecPlan(e.base, t.spec.Dir, t.spec.Codec, t.spec.CodecRebase, nil)
+	// Codec plan for this save, handing xor puts the saver's parent cache.
+	// The puts carry no coding gate: spooled payloads already hold their
+	// bytes in the engine's gate, and letting the encoder block on the same
+	// gate could deadlock the write stage.
+	cplan, err := newCodecPlan(e.base, t.spec.Dir, t.spec.Codec, t.spec.CodecRebase, e.parents)
 	if err != nil {
 		return err
 	}
@@ -638,6 +659,7 @@ func (e *captureEngine) writeDedup(t *captureTicket) error {
 	if err != nil {
 		return err
 	}
+	memo := newChainMemo(store)
 
 	// Digest set in the synchronous path's journal order: weights, then
 	// rank-major groups — extended with every xor ancestor the planned
@@ -659,7 +681,7 @@ func (e *captureEngine) writeDedup(t *captureTicket) error {
 			pp.opts, pp.planned = cplan.optsFor(slot, digest, width)
 			digests = append(digests, pp.planned...)
 		}
-		if ch, err := blobChain(store, digest); err == nil {
+		if ch, err := memo.chain(digest); err == nil {
 			digests = append(digests, ch...)
 		}
 	}
@@ -708,18 +730,23 @@ func (e *captureEngine) writeDedup(t *captureTicket) error {
 			// A referenced payload moved nothing; its blob must still exist
 			// (the journal record just appended pins it against any sweep's
 			// recheck). If it is gone anyway, fail honestly — the live bytes
-			// are no longer available to re-create it. The manifest entry
+			// are no longer available to re-create it. The existence check
+			// must run after the journal append; the header itself is the
+			// one the digest-set walk above already read. The manifest entry
 			// records how the existing blob actually landed.
-			meta, err := store.Meta(p.digest)
+			if !store.Has(p.digest) {
+				return fmt.Errorf("ckpt: capture reused blob %s (%s) missing from store", p.digest, what)
+			}
+			meta, err := memo.meta(p.digest)
 			if err != nil {
-				return fmt.Errorf("ckpt: capture reused blob %s (%s) missing from store: %w", p.digest, what, err)
+				return fmt.Errorf("ckpt: capture reused blob %s (%s): %w", p.digest, what, err)
 			}
 			res = storage.PutResult{
 				Codec: meta.Codec, Parent: meta.Parent,
 				RawBytes: meta.RawSize, StoredBytes: meta.StoredSize,
 			}
 		}
-		codec, stored, parents, err := codecEntryMeta(store, res, pp.planned)
+		codec, stored, parents, err := codecEntryMeta(memo, res, pp.planned)
 		if err != nil {
 			return fmt.Errorf("ckpt: capture blob %s (%s): %w", p.digest, what, err)
 		}

@@ -65,6 +65,29 @@ func lazySave(b storage.Backend, spec SaveSpec) error {
 }
 
 func TestCrashPointExplorationLazyCapture(t *testing.T) {
+	exploreLazyCaptureCrashes(t, "", false)
+}
+
+// TestCrashPointExplorationLazyCaptureWarmXor repeats the exploration with
+// the xor codec and ONE saver kept across the previous save, the explored
+// save and its post-repair retry, so the explored save encodes its deltas
+// against the parent cache the previous save warmed.
+func TestCrashPointExplorationLazyCaptureWarmXor(t *testing.T) {
+	exploreLazyCaptureCrashes(t, "xor", true)
+}
+
+// lazySaverFor returns how the exploration saves through b: a fresh saver
+// per save (cold), or one long-lived saver (warm) that stop drains.
+func lazySaverFor(b storage.Backend, warm bool) (save func(SaveSpec) error, stop func() *AsyncSaver) {
+	if !warm {
+		return func(spec SaveSpec) error { return lazySave(b, spec) }, func() *AsyncSaver { return nil }
+	}
+	s := NewLazyAsyncSaver(b, 1, CaptureOptions{})
+	return func(spec SaveSpec) error { return saveThrough(s, spec) },
+		func() *AsyncSaver { s.Wait(); return s }
+}
+
+func exploreLazyCaptureCrashes(t *testing.T, codec string, warm bool) {
 	mPrev, oPrev := buildOptim(t, modelcfg.Tiny(), 160)
 	// The next state shares most content with the previous one (a single
 	// block mutated), so the explored save exercises the interesting lazy
@@ -75,7 +98,7 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 	mutateLayer(t, mNext, oNext, modelcfg.Block(0), 1)
 	specFor := func(dir string, step int, m *model.Model, o *optim.AdamW) SaveSpec {
 		return SaveSpec{Dir: dir, Model: m, Optim: o, WorldSize: 2, Strategy: "full",
-			Dedup: true, State: TrainerState{Step: step, Seed: 160}}
+			Dedup: true, Codec: codec, State: TrainerState{Step: step, Seed: 160}}
 	}
 
 	// Ground truth from fault-free SYNCHRONOUS saves: the lazy path must
@@ -96,14 +119,18 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 	// mutation — journal record, blob puts, staging, commit, publish,
 	// pointer — happens in the write stage.
 	f := storage.NewFault(storage.NewMem())
-	if err := lazySave(f, specFor("run/checkpoint-100", 100, mPrev, oPrev)); err != nil {
+	save, stop := lazySaverFor(f, warm)
+	if err := save(specFor("run/checkpoint-100", 100, mPrev, oPrev)); err != nil {
 		t.Fatal(err)
 	}
 	f.FailAt(0)
-	if err := lazySave(f, specFor("run/checkpoint-200", 200, mNext, oNext)); err != nil {
+	if err := save(specFor("run/checkpoint-200", 200, mNext, oNext)); err != nil {
 		t.Fatal(err)
 	}
 	n := int(f.Ops())
+	if s := stop(); s != nil && s.CaptureStats().ParentHits == 0 {
+		t.Fatal("warm saver served no delta from its parent cache")
+	}
 	if n < 10 {
 		t.Fatalf("suspiciously few fault points in a lazy dedup save: %d", n)
 	}
@@ -117,11 +144,12 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 			base := storage.NewMem()
 			f := storage.NewFault(base)
 			f.SetTorn(torn)
-			if err := lazySave(f, specFor("run/checkpoint-100", 100, mPrev, oPrev)); err != nil {
+			save, stop := lazySaverFor(f, warm)
+			if err := save(specFor("run/checkpoint-100", 100, mPrev, oPrev)); err != nil {
 				t.Fatal(err)
 			}
 			f.FailAt(k)
-			if err := lazySave(f, specFor("run/checkpoint-200", 200, mNext, oNext)); !storage.IsInjected(err) {
+			if err := save(specFor("run/checkpoint-200", 200, mNext, oNext)); !storage.IsInjected(err) {
 				t.Fatalf("k=%d torn=%v: err = %v, want injected", k, torn, err)
 			}
 
@@ -194,9 +222,17 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 			if problems := refProblems(t, base, "run"); len(problems) != 0 {
 				t.Fatalf("k=%d torn=%v: ref-index problems after repair+gc: %+v", k, torn, problems)
 			}
-			if err := lazySave(base, specFor("run/checkpoint-200", 200, mNext, oNext)); err != nil {
+			retry := func(spec SaveSpec) error { return lazySave(base, spec) }
+			if warm {
+				// The same saver retries, its cache still warm; the fault
+				// wrapper is disarmed so the retry writes through it.
+				f.Reset()
+				retry = save
+			}
+			if err := retry(specFor("run/checkpoint-200", 200, mNext, oNext)); err != nil {
 				t.Fatalf("k=%d torn=%v: lazy save after repair: %v", k, torn, err)
 			}
+			stop()
 			if d := treeDigest(t, base, "run/checkpoint-200"); d != nextDigest {
 				t.Fatalf("k=%d torn=%v: post-repair save differs from fault-free save", k, torn)
 			}
@@ -209,11 +245,20 @@ func TestCrashPointExplorationLazyCapture(t *testing.T) {
 // overlap earlier saves' background writes, pooled spools are recycled
 // across saves, and the tiny spool budget forces the file-backed
 // fallback. Every published checkpoint must restore exactly the state
-// captured at its Save call: no hybrids, no torn spool reuse. Run under
-// -race this doubles as the data-race proof for the capture engine.
+// captured at its Save call: no hybrids, no torn spool reuse. The xor case
+// adds the write stage's parent cache, bounded by the same tiny budget.
+// Run under -race this doubles as the data-race proof for the capture
+// engine.
 func TestLazyCaptureStress(t *testing.T) {
-	for _, dedup := range []bool{true, false} {
-		t.Run(fmt.Sprintf("dedup=%v", dedup), func(t *testing.T) {
+	for _, tc := range []struct {
+		dedup bool
+		codec string
+	}{{true, ""}, {false, ""}, {true, "xor"}} {
+		name := fmt.Sprintf("dedup=%v", tc.dedup)
+		if tc.codec != "" {
+			name += ",codec=" + tc.codec
+		}
+		t.Run(name, func(t *testing.T) {
 			b := storage.NewMem()
 			// 64 KiB spool budget: most payloads overflow to file spools,
 			// and the pool recycles the rest across saves.
@@ -238,7 +283,7 @@ func TestLazyCaptureStress(t *testing.T) {
 				want = append(want, expect{m: mc, o: o.Clone(mc)})
 				err := s.Save(SaveSpec{
 					Dir: fmt.Sprintf("run/checkpoint-%d", i*10), Model: m, Optim: o,
-					WorldSize: 2, Strategy: "full", Dedup: dedup,
+					WorldSize: 2, Strategy: "full", Dedup: tc.dedup, Codec: tc.codec,
 					LayerGens: o.LayerGens(),
 					State:     TrainerState{Step: i * 10, Seed: 170},
 				})
@@ -261,6 +306,12 @@ func TestLazyCaptureStress(t *testing.T) {
 			}
 			if stats.Pool.FileSpools == 0 {
 				t.Error("tiny spool budget never hit the file-backed fallback")
+			}
+			if tc.codec == "xor" && stats.ParentHits == 0 {
+				t.Errorf("xor saves served no delta from the parent cache: %+v", stats)
+			}
+			if stats.ParentBytesHeld != 0 {
+				t.Errorf("parent cache holds %d bytes after Wait", stats.ParentBytesHeld)
 			}
 			for i := 1; i <= saves; i++ {
 				dir := fmt.Sprintf("run/checkpoint-%d", i*10)

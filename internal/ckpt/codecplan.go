@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"llmtailor/internal/parallel"
 	"llmtailor/internal/storage"
 )
 
@@ -31,8 +30,10 @@ const DefaultCodecRebase = 8
 type codecPlan struct {
 	mode   storage.BlobCodec // CodecPlane or CodecXORParent
 	rebase int
-	gate   *parallel.ByteGate
-	prev   map[string]prevSlot
+	// cache, in xor mode, is the saver's verified-payload cache: every put
+	// admits its payload and deltas against a cached parent when it can.
+	cache *storage.ParentCache
+	prev  map[string]prevSlot
 }
 
 // prevSlot is the previous generation's blob for a payload slot.
@@ -48,7 +49,9 @@ func groupSlotKey(rank, index int) string { return fmt.Sprintf("g\x00%d\x00%d", 
 // codec is the SaveSpec spelling: "" or "raw" disables planning (nil plan),
 // "plane" encodes every payload standalone, "xor" / "xor-parent" deltas
 // changed slots against the previous committed checkpoint in the run root.
-func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int, gate *parallel.ByteGate) (*codecPlan, error) {
+// cache (may be nil) is handed to every xor-mode put; plane mode has no
+// parents to serve, so it never sees the cache.
+func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int, cache *storage.ParentCache) (*codecPlan, error) {
 	mode, err := storage.ParseBlobCodec(codec)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: save codec: %w", err)
@@ -66,8 +69,9 @@ func newCodecPlan(b storage.Backend, finalDir, codec string, rebase int, gate *p
 	if rebase > storage.MaxParentDepth {
 		rebase = storage.MaxParentDepth
 	}
-	p := &codecPlan{mode: mode, rebase: rebase, gate: gate, prev: map[string]prevSlot{}}
+	p := &codecPlan{mode: mode, rebase: rebase, prev: map[string]prevSlot{}}
 	if mode == storage.CodecXORParent {
+		p.cache = cache
 		if prevDir := previousForSave(b, finalDir); prevDir != "" {
 			p.loadPrev(b, prevDir)
 		}
@@ -119,7 +123,7 @@ func (p *codecPlan) loadPrev(b storage.Backend, dir string) {
 // depend on. A slot with no previous generation, an unchanged digest, or a
 // chain at the re-base bound plans as plane.
 func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOptions, []string) {
-	opts := storage.BlobPutOptions{Codec: storage.CodecPlane, Width: width, Gate: p.gate}
+	opts := storage.BlobPutOptions{Codec: storage.CodecPlane, Width: width, Cache: p.cache}
 	if p.mode != storage.CodecXORParent {
 		return opts, nil
 	}
@@ -136,14 +140,40 @@ func (p *codecPlan) optsFor(slot, digest string, width int) (storage.BlobPutOpti
 	return opts, chain
 }
 
-// blobChain returns the xor-parent ancestor chain of a stored blob (direct
+// chainMemo reads blob headers for one save, each at most once: payloads
+// whose xor chains share ancestors, and the repeated walks a save makes of
+// one chain (journal set, then manifest entry), reuse the first read.
+// Only successful reads are remembered, so a blob the save publishes
+// after a failed lookup is read fresh. A memo must not outlive its save.
+type chainMemo struct {
+	store storage.CAS
+	metas map[string]storage.BlobMeta
+}
+
+func newChainMemo(store storage.CAS) *chainMemo {
+	return &chainMemo{store: store, metas: map[string]storage.BlobMeta{}}
+}
+
+// meta is store.Meta, memoized.
+func (m *chainMemo) meta(digest string) (storage.BlobMeta, error) {
+	if meta, ok := m.metas[digest]; ok {
+		return meta, nil
+	}
+	meta, err := m.store.Meta(digest)
+	if err == nil {
+		m.metas[digest] = meta
+	}
+	return meta, err
+}
+
+// chain returns the xor-parent ancestor chain of a stored blob (direct
 // parent first) by walking container headers. Raw and plane blobs have an
 // empty chain.
-func blobChain(store storage.CAS, digest string) ([]string, error) {
+func (m *chainMemo) chain(digest string) ([]string, error) {
 	var chain []string
 	cur := digest
 	for i := 0; i <= storage.MaxParentDepth; i++ {
-		meta, err := store.Meta(cur)
+		meta, err := m.meta(cur)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +304,7 @@ func ScanCodecs(b storage.Backend, runRoot string) ([]CodecHealth, error) {
 // fields. planned is the chain optsFor computed; it is reused when the put
 // landed on the planned parent, and re-derived from container headers when
 // the slot dedup-hit an existing blob with a different lineage.
-func codecEntryMeta(store storage.CAS, res storage.PutResult, planned []string) (codec string, stored int64, parents []string, err error) {
+func codecEntryMeta(memo *chainMemo, res storage.PutResult, planned []string) (codec string, stored int64, parents []string, err error) {
 	switch res.Codec {
 	case storage.CodecRaw:
 		return "", 0, nil, nil
@@ -282,7 +312,7 @@ func codecEntryMeta(store storage.CAS, res storage.PutResult, planned []string) 
 		if len(planned) > 0 && planned[0] == res.Parent {
 			parents = planned
 		} else {
-			rest, err := blobChain(store, res.Parent)
+			rest, err := memo.chain(res.Parent)
 			if err != nil {
 				return "", 0, nil, err
 			}

@@ -140,6 +140,7 @@ func writeDedupPayloads(base, sb storage.Backend, stagingDir, finalDir string,
 	if err != nil {
 		return 0, err
 	}
+	memo := newChainMemo(store)
 	buf := make([]byte, storage.ChunkOrDefault(0))
 
 	// Phase 1: hash everything; build manifests and the digest set. With a
@@ -163,7 +164,7 @@ func writeDedupPayloads(base, sb storage.Backend, stagingDir, finalDir string,
 		// codec-enabled save when this one runs raw); the record must pin
 		// those actual ancestors too, or retiring the blob's original
 		// record could orphan them under our feet.
-		if ch, err := blobChain(store, digest); err == nil {
+		if ch, err := memo.chain(digest); err == nil {
 			digests = append(digests, ch...)
 		}
 		payloads = append(payloads, p)
@@ -236,7 +237,7 @@ func writeDedupPayloads(base, sb storage.Backend, stagingDir, finalDir string,
 		if err != nil {
 			return 0, fmt.Errorf("ckpt: dedup blob %s: %w", p.digest, err)
 		}
-		codec, stored, parents, err := codecEntryMeta(store, res, p.planned)
+		codec, stored, parents, err := codecEntryMeta(memo, res, p.planned)
 		if err != nil {
 			return 0, fmt.Errorf("ckpt: dedup blob %s: %w", p.digest, err)
 		}

@@ -69,16 +69,11 @@ type BlobStore struct {
 	root   string
 	rename bool
 	mp     MultipartOptions
-	// resolveFn, when set, resolves a parent digest to its raw payload
-	// across stores (ShardedStore routes a parent that hashes to another
-	// shard). Nil means parents resolve locally.
-	resolveFn parentResolver
+	// peers, when set, is the sharded store this one is a shard of. An xor
+	// parent's digest routes independently of its child's, so parents are
+	// looked up and resolved through it. Nil means parents live locally.
+	peers *ShardedStore
 }
-
-// parentResolver resolves a digest to its fully decoded payload while
-// walking an xor-parent chain. seen and depth thread the cycle/depth guard
-// across store boundaries.
-type parentResolver func(digest string, seen map[string]bool, depth int) ([]byte, error)
 
 // NewBlobStore returns a store over root (e.g. "run/objects"). The root is
 // created lazily by the first put.
@@ -203,8 +198,8 @@ func (s *BlobStore) OpenRange(digest string, off, n int64) (io.ReadCloser, error
 	if err != nil {
 		return nil, err
 	}
-	if off > int64(len(raw)) || off+n > int64(len(raw)) {
-		return nil, fmt.Errorf("storage: range [%d,+%d) beyond blob %s payload (%d bytes)", off, n, digest, len(raw))
+	if err := checkRange(path, off, n, int64(len(raw))); err != nil {
+		return nil, err
 	}
 	return io.NopCloser(bytes.NewReader(raw[off : off+n])), nil
 }
@@ -273,13 +268,22 @@ func (s *BlobStore) readDecoded(digest string) ([]byte, error) {
 	return s.resolveLocal(digest, map[string]bool{}, 0)
 }
 
-// resolveAny resolves a digest through the configured cross-store resolver,
-// falling back to this store.
+// resolveAny resolves a digest through the owning shard when this store is
+// one, else through this store. seen and depth thread the chain walk's
+// cycle/depth guard across shard boundaries.
 func (s *BlobStore) resolveAny(digest string, seen map[string]bool, depth int) ([]byte, error) {
-	if s.resolveFn != nil {
-		return s.resolveFn(digest, seen, depth)
+	if s.peers != nil {
+		return s.peers.shard(digest).resolveLocal(digest, seen, depth)
 	}
 	return s.resolveLocal(digest, seen, depth)
+}
+
+// hasAny is Has routed like resolveAny.
+func (s *BlobStore) hasAny(digest string) bool {
+	if s.peers != nil {
+		return s.peers.Has(digest)
+	}
+	return s.Has(digest)
 }
 
 // resolveLocal reads one blob from this store and decodes it, recursing
@@ -395,13 +399,17 @@ func (s *BlobStore) PutStream(digest string, encode func(io.Writer) (int64, erro
 }
 
 // BlobPutOptions requests an encoded put: the codec to try, the payload's
-// element width, the parent digest (CodecXORParent) and an optional gate
-// bounding the raw bytes the chunk coders hold in flight.
+// element width, the parent digest (CodecXORParent), an optional gate
+// bounding the raw bytes the chunk coders hold in flight, and an optional
+// cache of verified payloads. With a cache, the put admits its payload once
+// the digest is verified, and an xor delta uses the cached parent payload
+// instead of decoding the parent's chain from the store.
 type BlobPutOptions struct {
 	Codec  BlobCodec
 	Width  int
 	Parent string
 	Gate   *parallel.ByteGate
+	Cache  *ParentCache
 }
 
 // PutResult reports how a put ended up stored. On a dedup hit the fields
@@ -472,6 +480,8 @@ func (s *BlobStore) PutStreamOpts(digest string, opts BlobPutOptions, encode fun
 	if err != nil {
 		return PutResult{}, err
 	}
+	// raw hashed to digest above and the blob now exists.
+	opts.Cache.admit(digest, raw)
 	return s.resultFor(digest, written)
 }
 
@@ -481,7 +491,7 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 	codec := opts.Codec
 	if codec == CodecXORParent {
 		if ValidDigest(opts.Parent) && opts.Parent != digest {
-			parentRaw, err := s.resolveAny(opts.Parent, map[string]bool{digest: true}, 1)
+			parentRaw, err := s.parentPayload(digest, opts)
 			if err == nil && len(parentRaw) == len(raw) {
 				delta := make([]byte, len(raw))
 				tensor.XORBytes(delta, raw, parentRaw)
@@ -498,6 +508,17 @@ func (s *BlobStore) encodeBlob(digest string, raw []byte, opts BlobPutOptions) (
 		}
 	}
 	return nil, CodecRaw
+}
+
+// parentPayload returns the raw payload of opts.Parent: the cached copy
+// while the parent blob still exists (a swept parent must demote the put
+// exactly as a failed read-back does), else the parent decoded from the
+// store.
+func (s *BlobStore) parentPayload(digest string, opts BlobPutOptions) ([]byte, error) {
+	if raw, ok := opts.Cache.lookup(opts.Parent, s.hasAny); ok {
+		return raw, nil
+	}
+	return s.resolveAny(opts.Parent, map[string]bool{digest: true}, 1)
 }
 
 // putContainer publishes container bytes under digest. The container's own

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"io"
+	"math"
 	"testing"
 	"time"
 )
@@ -204,5 +205,37 @@ func TestCopyFileStreamsVerbatim(t *testing.T) {
 	}
 	if _, err := CopyFile(dst, "b/out2", src, "a/missing", 0); err == nil {
 		t.Fatal("copying a missing file succeeded")
+	}
+}
+
+// A range whose end overflows int64 must be rejected on every blob form —
+// raw blobs range on the backend, containers on the decoded payload —
+// rather than panic slicing the decoded payload.
+func TestBlobOpenRangeRejectsOverflowingExtent(t *testing.T) {
+	s := NewBlobStore(NewMem(), "objects")
+	parentData := planePayload(8192, 1, 97)
+	raw, _ := putOpts(t, s, planePayload(8192, 3, 97), BlobPutOptions{})
+	plane, pres := putOpts(t, s, parentData, BlobPutOptions{Codec: CodecPlane, Width: 2})
+	xor, xres := putOpts(t, s, planePayload(8192, 2, 97),
+		BlobPutOptions{Codec: CodecXORParent, Width: 2, Parent: plane})
+	if pres.Codec != CodecPlane || xres.Codec != CodecXORParent {
+		t.Fatalf("setup: stored as %v and %v", pres.Codec, xres.Codec)
+	}
+	for name, d := range map[string]string{"raw": raw, "plane": plane, "xor": xor} {
+		for _, ext := range [][2]int64{{1, math.MaxInt64}, {math.MaxInt64, 1}, {8192, 1}, {0, 8193}} {
+			if r, err := s.OpenRange(d, ext[0], ext[1]); err == nil {
+				r.Close()
+				t.Fatalf("%s blob: extent %v accepted (payload is 8192 bytes)", name, ext)
+			}
+		}
+		r, err := s.OpenRange(d, 8000, 192)
+		if err != nil {
+			t.Fatalf("%s blob: in-range tail rejected: %v", name, err)
+		}
+		got, _ := io.ReadAll(r)
+		r.Close()
+		if len(got) != 192 {
+			t.Fatalf("%s blob: tail read %d bytes, want 192", name, len(got))
+		}
 	}
 }

@@ -150,15 +150,9 @@ func NewShardedStore(b Backend, root string, count int) *ShardedStore {
 	// An xor-parent blob's parent digest routes independently, so decoding
 	// must resolve parents across shards, not just within the owning one.
 	for _, sh := range s.shards {
-		sh.resolveFn = s.resolveRaw
+		sh.peers = s
 	}
 	return s
-}
-
-// resolveRaw resolves a digest to its decoded payload via its owning shard,
-// threading the chain walk's cycle/depth guard across shard boundaries.
-func (s *ShardedStore) resolveRaw(digest string, seen map[string]bool, depth int) ([]byte, error) {
-	return s.shard(digest).resolveLocal(digest, seen, depth)
 }
 
 // Shards returns the number of shards.
